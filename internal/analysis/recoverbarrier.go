@@ -4,19 +4,20 @@ import (
 	"go/ast"
 )
 
-// RecoverBarrier enforces PR 5's containment discipline inside the
-// parallel runtime: every goroutine spawned there executes kernels, and an
+// RecoverBarrier enforces the containment discipline of the packages that
+// run tile kernels: every goroutine spawned there executes kernels, and an
 // uncontained panic in a worker kills the whole process (a goroutine panic
 // cannot be recovered by anyone else). A `go` statement is accepted when
 // the spawned function routes through a //qr:containedexec-marked recover
-// wrapper (applyProtected, guardWorker) or carries its own deferred
-// recover; anything else is reported.
+// wrapper (the executor's runTask) or carries its own deferred recover;
+// anything else is reported.
 //
-// Scope: internal/runtime (plus the analyzer's own fixtures).
+// Scope: internal/runtime, internal/core and internal/chol (plus the
+// analyzer's own fixtures).
 var RecoverBarrier = &Analyzer{
 	Name:  "recoverbarrier",
-	Doc:   "goroutines in internal/runtime must run behind the recover barrier",
-	Scope: []string{"internal/runtime", "testdata/src/recoverbarrier"},
+	Doc:   "goroutines in kernel-running packages must run behind the recover barrier",
+	Scope: []string{"internal/runtime", "internal/core", "internal/chol", "testdata/src/recoverbarrier"},
 	Run:   runRecoverBarrier,
 }
 

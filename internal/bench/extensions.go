@@ -179,7 +179,7 @@ func ExtPlacement() Table {
 		Title: "Extension: real-factorization op placement & PCIe traffic (256x256, b=16)",
 		Header: []string{"Distribution", "main ops", "680#1 ops", "680#2 ops",
 			"tiles moved", "KB moved", "residual ok"},
-		Notes: "internal/core executes the actual kernels under the plan's placement.",
+		Notes: "internal/core accounts placement on the schedule; the real kernels run on the host runtime.",
 	}
 	a := workload.Uniform(99, 256, 256)
 	for _, dist := range []sched.Distribution{sched.DistGuide, sched.DistCores, sched.DistEven} {

@@ -2,17 +2,17 @@
 // CholeskyQR method. The paper's background section names Cholesky as the
 // other standard route to QR ("There are several types of QR decomposition,
 // such as the Householder or Cholesky methods"); this package provides that
-// baseline at tile granularity, sharing the same DAG-parallel execution
-// idea as the Householder path: POTRF / TRSM / SYRK / GEMM tile kernels
-// with a last-writer dependency graph.
+// baseline at tile granularity on the same DAG executor as the Householder
+// path (internal/runtime): POTRF / TRSM / SYRK / GEMM tile kernels with a
+// last-writer dependency graph.
 package chol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/lapack"
 	"repro/internal/matrix"
+	"repro/internal/runtime"
 	"repro/internal/tiled"
 )
 
@@ -50,6 +50,11 @@ type Op struct {
 	Kind Kind
 	K    int // panel index
 	I, J int // target tile (I ≥ J)
+}
+
+// String formats the op with its panel and target tile, e.g. "GEMM(k=0, i=3, j=1)".
+func (o Op) String() string {
+	return fmt.Sprintf("%s(k=%d, i=%d, j=%d)", o.Kind, o.K, o.I, o.J)
 }
 
 // tiles the op reads/modifies, for dependency construction.
@@ -152,8 +157,11 @@ func applyOp(a *tiled.TiledMatrix, op Op) error {
 
 // Factor computes the tiled Cholesky factorization A = L·Lᵀ of a symmetric
 // positive-definite matrix with tile size b, executing the DAG on `workers`
-// goroutines (0 = serial). The input is not modified. n must be a multiple
-// of b for the symmetric tiling (general SPD sizes can pad).
+// goroutines (0 = serial) through the runtime's manager loop. The input is
+// not modified. n must be a multiple of b for the symmetric tiling (general
+// SPD sizes can pad). The parallel path dispatches nothing after the first
+// failed kernel, and a kernel panic comes back as an error wrapping a
+// *fault.KernelPanicError.
 func Factor(a *matrix.Matrix, b, workers int) (*Factorization, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("chol: matrix is %dx%d, need square", a.Rows, a.Cols)
@@ -172,56 +180,13 @@ func Factor(a *matrix.Matrix, b, workers int) (*Factorization, error) {
 		return &Factorization{A: tm}, nil
 	}
 	deps, succs := buildDeps(ops)
-	if err := executeParallel(tm, ops, deps, succs, workers); err != nil {
+	g := runtime.Graph{Deps: deps, Succs: succs, Label: func(i int) (string, string) {
+		return ops[i].String(), ops[i].Kind.String()
+	}}
+	if err := runtime.Run(g, workers, func(_, id int) error { return applyOp(tm, ops[id]) }); err != nil {
 		return nil, err
 	}
 	return &Factorization{A: tm}, nil
-}
-
-func executeParallel(tm *tiled.TiledMatrix, ops []Op, deps, succs [][]int, workers int) error {
-	n := len(ops)
-	ready := make(chan int, n)
-	done := make(chan int, n)
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ready {
-				if err := applyOp(tm, ops[id]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-				done <- id
-			}
-		}()
-	}
-	remaining := make([]int, n)
-	for i := range deps {
-		remaining[i] = len(deps[i])
-	}
-	for i, r := range remaining {
-		if r == 0 {
-			ready <- i
-		}
-	}
-	for completed := 0; completed < n; completed++ {
-		id := <-done
-		for _, s := range succs[id] {
-			remaining[s]--
-			if remaining[s] == 0 {
-				ready <- s
-			}
-		}
-	}
-	close(ready)
-	wg.Wait()
-	return firstErr
 }
 
 // L assembles the dense lower-triangular factor.

@@ -1,11 +1,11 @@
 // Package core is the heterogeneous tiled-QR engine — the paper's system
-// in executable form. It factors real matrices by running the tiled-QR
-// operation DAG under a scheduling Plan (main-device selection, device
-// count, guide-array distribution from internal/sched): every operation is
-// placed on the device the paper's rules assign it to, executed by that
-// device's worker pool (host goroutines standing in for CPU cores and GPU
-// kernel slots), and every tile that crosses a device boundary is counted
-// as PCIe traffic.
+// in executable form. It factors real matrices under a scheduling Plan
+// (main-device selection, device count, guide-array distribution from
+// internal/sched). Placement is accounted on the schedule: a walk of the
+// operation order places every operation on the device the paper's rules
+// assign it to and counts every tile that crosses a device boundary as
+// PCIe traffic. The numerics run on the host runtime (internal/runtime),
+// whose workers are host goroutines just as every device here would be.
 //
 // This engine is where the reproduction's two halves meet: the numerics
 // are bit-identical to the sequential reference (the DAG fixes the
@@ -17,17 +17,17 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/device"
 	"repro/internal/matrix"
+	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/tiled"
 )
 
 // PlacementStats reports where the work went and what crossed PCIe.
 type PlacementStats struct {
-	// OpsPerDevice counts executed tile operations per participant,
+	// OpsPerDevice counts the tile operations placed on each participant,
 	// indexed like Plan.Order[:P].
 	OpsPerDevice []int
 	// OpsPerStep counts operations per paper step class (T, E, UT, UE).
@@ -46,9 +46,6 @@ type Config struct {
 	Plan     *sched.Plan
 	// Tree selects the elimination order; nil uses the paper's flat TS.
 	Tree tiled.Tree
-	// WorkersPerDevice caps each device pool's host goroutines (0 = one
-	// per device slot, capped at 8 to stay reasonable on laptops).
-	WorkersPerDevice int
 	// WorkStealing lets idle devices execute ready update operations that
 	// belong to other devices' columns — the dynamic tile-migration policy
 	// of the paper's related work [11] (Agullo et al.), in contrast to the
@@ -92,9 +89,6 @@ func Factor(a *matrix.Matrix, cfg Config) (*tiled.Factorization, PlacementStats,
 			"core: plan is for a %dx%d tile grid, matrix needs %dx%d",
 			plan.Problem.Mt, plan.Problem.Nt, l.Mt, l.Nt)
 	}
-	dag := tiled.BuildDAG(l, tree)
-	f := tiled.NewFactorization(tiled.FromDense(a, b), tree)
-
 	stats := PlacementStats{
 		OpsPerDevice: make([]int, plan.P),
 		OpsPerStep:   map[string]int{},
@@ -119,15 +113,13 @@ func Factor(a *matrix.Matrix, cfg Config) (*tiled.Factorization, PlacementStats,
 	// because residency only changes at writes). Work stealing balances
 	// update ops round-robin across participants instead of honouring
 	// column ownership.
-	placements := make([]int, len(dag.Ops))
 	steal := 0
-	for idx, op := range dag.Ops {
+	for _, op := range tiled.BuildOps(l, tree) {
 		dev := placement(plan, op)
 		if cfg.WorkStealing && op.Kind.IsUpdate() {
 			dev = steal % plan.P
 			steal++
 		}
-		placements[idx] = dev
 		for _, tl := range op.Tiles() {
 			if where[tl] != dev {
 				stats.Transfers++
@@ -139,64 +131,12 @@ func Factor(a *matrix.Matrix, cfg Config) (*tiled.Factorization, PlacementStats,
 		stats.OpsPerStep[op.Kind.Step()]++
 	}
 
-	execute(dag, f, plan, placements, cfg.Platform, cfg.WorkersPerDevice)
+	// Every device is host goroutines here, and the DAG fixes the
+	// floating-point reduction order, so the numerics run on the host
+	// runtime: the factor is the same whichever worker applies an op.
+	f, err := runtime.Factor(a, runtime.Options{TileSize: b, Tree: tree})
+	if err != nil {
+		return nil, PlacementStats{}, err
+	}
 	return f, stats, nil
-}
-
-// execute runs the DAG with one worker pool per participating device, each
-// pulling only the operations placed on it.
-func execute(dag *tiled.DAG, f *tiled.Factorization, plan *sched.Plan,
-	placements []int, plat *device.Platform, perDevice int) {
-	n := len(dag.Ops)
-	if n == 0 {
-		return
-	}
-	queues := make([]chan int, plan.P)
-	for i := range queues {
-		queues[i] = make(chan int, n)
-	}
-	done := make(chan int, n)
-	var wg sync.WaitGroup
-	for pos, idx := range plan.Participants() {
-		workers := perDevice
-		if workers <= 0 {
-			workers = plat.Devices[idx].Slots
-			if workers > 8 {
-				workers = 8
-			}
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(q chan int) {
-				defer wg.Done()
-				for opID := range q {
-					f.ApplyOp(dag.Ops[opID])
-					done <- opID
-				}
-			}(queues[pos])
-		}
-	}
-
-	remaining := make([]int, n)
-	for i := range dag.Deps {
-		remaining[i] = len(dag.Deps[i])
-	}
-	for i, r := range remaining {
-		if r == 0 {
-			queues[placements[i]] <- i
-		}
-	}
-	for completed := 0; completed < n; completed++ {
-		id := <-done
-		for _, s := range dag.Succs[id] {
-			remaining[s]--
-			if remaining[s] == 0 {
-				queues[placements[s]] <- s
-			}
-		}
-	}
-	for _, q := range queues {
-		close(q)
-	}
-	wg.Wait()
 }

@@ -150,19 +150,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestWorkersPerDeviceOverride(t *testing.T) {
-	pl := device.PaperPlatform()
-	a := workload.Uniform(7, 64, 64)
-	plan := planFor(pl, 64, 64, 16)
-	f, _, err := Factor(a, Config{Platform: pl, Plan: plan, WorkersPerDevice: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := f.Residual(a); res > tol {
-		t.Fatalf("residual %g", res)
-	}
-}
-
 func TestWorkStealingCorrectAndBalanced(t *testing.T) {
 	pl := device.PaperPlatform()
 	a := workload.Uniform(8, 96, 96)

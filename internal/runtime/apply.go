@@ -1,9 +1,8 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/kernels"
@@ -85,68 +84,26 @@ func FormQ(f *tiled.Factorization, full bool, workers int) *matrix.Matrix {
 	return q
 }
 
+// applyParallel runs the apply DAG on the runtime's manager loop. A
+// contained kernel panic is re-raised on the caller's goroutine, since the
+// apply API has no error return; c is then partially updated.
 func applyParallel(f *tiled.Factorization, c *matrix.Matrix, workers int, reverse bool) {
 	if c.Rows != f.A.M {
 		panic(fmt.Sprintf("runtime: apply needs %d rows, got %d", f.A.M, c.Rows))
 	}
 	tasks, deps, succs := buildApplyDAG(f, reverse)
-	n := len(tasks)
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(workers, len(tasks))
+	wss := make([]*kernels.Workspace, workers)
 	trans := !reverse
-
-	ready := make(chan int, n)
-	done := make(chan int, n)
-	var panicked atomic.Pointer[fault.KernelPanicError]
-	opOf := func(id int) tiled.Op { return tasks[id].op }
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			cur := poisonedOp
-			defer guardWorker(&panicked, done, worker, &cur, opOf)
-			ws := kernels.NewWorkspace()
-			for id := range ready {
-				cur = id
-				f.ApplyFactorOpToWs(tasks[id].op, c, trans, ws)
-				done <- id
-				cur = poisonedOp
-			}
-		}(w)
+	g := Graph{Deps: deps, Succs: succs, Label: func(i int) (string, string) {
+		return tasks[i].op.String(), tasks[i].op.Kind.Step()
+	}}
+	err := Run(g, workers, func(w, id int) error {
+		f.ApplyFactorOpToWs(tasks[id].op, c, trans, workspace(wss, w))
+		return nil
+	})
+	var kp *fault.KernelPanicError
+	if errors.As(err, &kp) {
+		panic(kp)
 	}
-	remaining := make([]int, n)
-	for i := range deps {
-		remaining[i] = len(deps[i])
-	}
-	for i, r := range remaining {
-		if r == 0 {
-			ready <- i
-		}
-	}
-	for completed := 0; completed < n; completed++ {
-		id := <-done
-		if id == poisonedOp {
-			// A worker contained a kernel panic: stop dispatching, wait for
-			// the survivors to drain, and re-raise on the caller's goroutine.
-			close(ready)
-			wg.Wait()
-			panic(panicked.Load())
-		}
-		for _, s := range succs[id] {
-			remaining[s]--
-			if remaining[s] == 0 {
-				ready <- s
-			}
-		}
-	}
-	close(ready)
-	wg.Wait()
 }

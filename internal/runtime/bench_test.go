@@ -32,6 +32,6 @@ func BenchmarkExecuteOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := tiled.NewFactorization(tiled.FromDense(a, 4), tiled.FlatTS{})
-		Execute(dag, f, 4, nil)
+		ExecuteBatch(dag, []BatchItem{{F: f}}, BatchOptions{Workers: 4})
 	}
 }

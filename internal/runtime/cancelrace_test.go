@@ -101,7 +101,7 @@ func TestExecuteBatchCancelRaceNoLeak(t *testing.T) {
 			cancel()
 		}()
 	}
-	errs := ExecuteBatch(dag, batch, 4, nil)
+	errs, _ := ExecuteBatch(dag, batch, BatchOptions{Workers: 4})
 	for i, err := range errs {
 		if racing[i] {
 			if err != nil && !errors.Is(err, context.Canceled) {
@@ -144,7 +144,7 @@ func TestCancelDuringRetriesNoLeak(t *testing.T) {
 		}()
 		// Heavy transient rate with long backoffs: retries are very likely
 		// pending at cancel time.
-		errs, _ := ExecuteBatchWith(dag, []BatchItem{{Ctx: ctx, F: f}}, BatchOptions{
+		errs, _ := ExecuteBatch(dag, []BatchItem{{Ctx: ctx, F: f}}, BatchOptions{
 			Workers: 2,
 			Faults:  fault.New(fault.Config{Seed: int64(90 + i), TransientRate: 0.6}),
 			Retry: fault.RetryPolicy{

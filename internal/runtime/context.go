@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,7 +54,7 @@ func FactorContext(ctx context.Context, a *matrix.Matrix, opts Options) (*tiled.
 	f := tiled.NewFactorization(tiled.FromDense(a, opts.TileSize), opts.Tree)
 	tr.End(planSpan)
 	execSpan := tr.Start(tr.Root(), obs.SpanExecute)
-	errs, _ := executeBatch(dag, []batchJob{{ctx: ctx, f: f, trace: tr, span: execSpan}}, BatchOptions{
+	errs, _ := ExecuteBatch(dag, []BatchItem{{Ctx: ctx, F: f, Trace: tr, Span: execSpan}}, BatchOptions{
 		Workers: opts.Workers, Priority: opts.Priority,
 		Recorder: opts.Recorder, Metrics: opts.Metrics,
 		Faults: opts.Faults, Retry: opts.Retry,
@@ -94,7 +93,7 @@ type BatchItem struct {
 	Span obs.SpanID
 }
 
-// BatchOptions configure one ExecuteBatchWith call.
+// BatchOptions configure one ExecuteBatch call.
 type BatchOptions struct {
 	// Workers is the computing goroutine count (min 1, capped at the
 	// total operation count).
@@ -143,7 +142,7 @@ type BatchReport struct {
 // factorizations in a single manager loop: all items' operations share one
 // ready pool and one worker set, so a batch of small matrices fills the
 // workers the way one large matrix would. This is the micro-batching
-// engine behind internal/serve.
+// engine behind internal/serve, and FactorContext runs a batch of one.
 //
 // The returned slice has one entry per item: nil on success, or an error
 // wrapping the item's ctx.Err() if its context fired before the item's
@@ -151,82 +150,64 @@ type BatchReport struct {
 // are skipped, other items are unaffected), or a typed fault error if one
 // of its kernels failed terminally. Operations of one item execute in a
 // DAG-legal order with deterministic kernels, so each successful item's
-// result is bit-identical to a direct Factor of the same input.
-func ExecuteBatch(dag *tiled.DAG, items []BatchItem, workers int, reg *metrics.Registry) []error {
-	errs, _ := ExecuteBatchWith(dag, items, BatchOptions{Workers: workers, Metrics: reg})
-	return errs
-}
-
-// ExecuteBatchWith is ExecuteBatch with full options (fault injection,
-// retries, priority dispatch, tracing) and a fault-activity report.
-func ExecuteBatchWith(dag *tiled.DAG, items []BatchItem, opt BatchOptions) ([]error, *BatchReport) {
-	jobs := make([]batchJob, len(items))
-	for i, it := range items {
-		jobs[i] = batchJob{ctx: it.Ctx, f: it.F, trace: it.Trace, span: it.Span}
+// result is bit-identical to a direct Factor of the same input. The report
+// summarizes the batch's fault activity.
+func ExecuteBatch(dag *tiled.DAG, items []BatchItem, opt BatchOptions) ([]error, *BatchReport) {
+	n := len(dag.Ops)
+	if n*len(items) == 0 {
+		return make([]error, len(items)), &BatchReport{}
 	}
-	return executeBatch(dag, jobs, opt)
+	workers := poolSize(opt.Workers, n*len(items))
+	rec, reg, inj := opt.Recorder, opt.Metrics, opt.Faults
+	g := graphOf(dag)
+	names := make([]string, workers)
+	for w := range names {
+		names[w] = workerName(w)
+	}
+	in := newInstr(reg, names)
+	wss := make([]*kernels.Workspace, workers)
+	var injected atomic.Int64
+	// The QR task: one kernel attempt with its fault injection, kernel span
+	// and Recorder event. Each worker owns its Workspace, so the kernel
+	// runs allocation-free.
+	task := func(w, gid, attempt int) error {
+		ws := workspace(wss, w)
+		op := dag.Ops[gid%n]
+		it := &items[gid/n]
+		start := rec.Now()
+		sp := it.Trace.StartKernel(it.Span, op.String(), op.Kind.Step(), names[w], gid%n, attempt)
+		err := applyProtected(in, inj, reg, it.F, op, w, gid/n, gid%n, attempt, &injected, ws)
+		it.Trace.EndErr(sp, err)
+		if rec != nil && err == nil {
+			rec.Add(trace.Event{
+				Label: op.String(), Step: op.Kind.Step(),
+				Worker: names[w], Start: start, End: rec.Now(),
+			})
+		}
+		return err
+	}
+	errs, rep := execute(g, items, opt, in, task)
+	rep.Injected = injected.Load()
+	return errs, rep
 }
 
-type batchJob struct {
-	ctx   context.Context
-	f     *tiled.Factorization
-	trace *obs.Trace
-	span  obs.SpanID
+// workspace returns worker w's Workspace, allocating it on first use. The
+// worker allocates its own, so the workers' Workspaces — whose view headers
+// every kernel call rewrites — do not come out of one allocation burst
+// next to each other and share cache lines.
+func workspace(wss []*kernels.Workspace, w int) *kernels.Workspace {
+	if wss[w] == nil {
+		wss[w] = kernels.NewWorkspace()
+	}
+	return wss[w]
 }
 
-// traceID names the job in log records ("" when the item is untraced).
-func (j *batchJob) traceID() string {
-	if j.trace == nil {
+// traceID names the item in log records ("" when the item is untraced).
+func (it *BatchItem) traceID() string {
+	if it.Trace == nil {
 		return ""
 	}
-	return string(j.trace.ID)
-}
-
-// dispatchQueue orders ready operations: a FIFO ring by default, or a
-// critical-path max-heap when the caller asked for priority dispatch.
-type dispatchQueue interface {
-	push(id int)
-	pop() int
-	size() int
-}
-
-type fifoQueue struct {
-	ids  []int
-	head int
-}
-
-func (q *fifoQueue) push(id int) { q.ids = append(q.ids, id) }
-func (q *fifoQueue) pop() int {
-	id := q.ids[q.head]
-	q.head++
-	if q.head == len(q.ids) {
-		q.ids = q.ids[:0]
-		q.head = 0
-	}
-	return id
-}
-func (q *fifoQueue) size() int { return len(q.ids) - q.head }
-
-type heapQueue struct{ h *opHeap }
-
-func (q *heapQueue) push(id int) { q.h.pushID(id) }
-func (q *heapQueue) pop() int    { return q.h.popID() }
-func (q *heapQueue) size() int   { return q.h.Len() }
-
-// dispatchMsg hands one operation attempt to a worker.
-type dispatchMsg struct {
-	gid     int
-	attempt int
-}
-
-// opResult reports one finished attempt back to the manager. dropped marks
-// the worker's exit: the attempt completed, then the device died.
-type opResult struct {
-	gid     int
-	worker  int
-	attempt int
-	err     error
-	dropped bool
+	return string(it.Trace.ID)
 }
 
 // injectedPanic is the sentinel the injector's panic fault throws; the
@@ -234,11 +215,13 @@ type opResult struct {
 // kernel panics (which may have left partial tile state).
 type injectedPanic struct{}
 
-// applyProtected runs one kernel attempt behind the containment barrier:
-// injected faults fire first (panic, transient, latency), the kernel runs
-// under pprof labels and latency accounting, and an injected NaN corrupts
-// the first output tile afterwards. Any panic — injected or real — is
-// recovered into a typed *fault.KernelPanicError.
+// applyProtected runs one kernel attempt of a QR task: injected faults
+// fire first (panic, transient, latency), the kernel runs under pprof
+// labels and latency accounting, and an injected NaN corrupts the first
+// output tile afterwards. Any panic — injected or real — is recovered here,
+// inside the task, into a typed *fault.KernelPanicError that marks injected
+// panics as retryable, so the attempt's kernel span still closes with the
+// error; the manager loop's own barrier (runTask) never sees it.
 //
 //qr:containedexec
 func applyProtected(in *instr, inj *fault.Injector, reg *metrics.Registry,
@@ -276,243 +259,4 @@ func applyProtected(in *instr, inj *fault.Injector, reg *metrics.Registry,
 		f.A.Tile(c[0], c[1]).Data[0] = math.NaN()
 	}
 	return nil
-}
-
-// executeBatch is the contained, context-aware, self-healing manager loop
-// shared by FactorContext and ExecuteBatch. Global operation id
-// g = item*len(dag.Ops) + localOp; dependency structure is replicated per
-// item, state is tracked flat.
-//
-// Dispatch is gated (at most one queued op per idle worker) so a
-// cancellation takes effect after the kernels currently in flight, not
-// after everything already pushed to a buffered channel.
-//
-// Failure handling: a task-retryable failure (injected transient or
-// injected panic — both fire before the kernel touches tiles) is re-queued
-// after a capped-exponential backoff until its attempt cap or the item's
-// retry budget runs out; any other failure, or an exhausted budget, fails
-// the item (remaining operations are skipped, other items proceed). A
-// worker that drops mid-batch shrinks the pool and the shared ready queue
-// redistributes its work over the survivors; if the last worker drops, one
-// is respawned under the same id (the injector fires each drop once) so
-// the batch always finishes.
-func executeBatch(dag *tiled.DAG, items []batchJob, opt BatchOptions) ([]error, *BatchReport) {
-	n := len(dag.Ops)
-	k := len(items)
-	errs := make([]error, k)
-	rep := &BatchReport{}
-	total := n * k
-	if total == 0 {
-		return errs, rep
-	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > total {
-		workers = total
-	}
-	rec, reg, inj := opt.Recorder, opt.Metrics, opt.Faults
-	retry := opt.Retry
-	if inj != nil && retry == (fault.RetryPolicy{}) {
-		retry = fault.DefaultRetryPolicy()
-	}
-	in := newInstr(reg, workers)
-
-	ready := make(chan dispatchMsg)
-	done := make(chan opResult, total)
-	// Retry deliveries come from time.AfterFunc goroutines, which may block
-	// on a full channel without holding anything up; a small buffer absorbs
-	// the common case.
-	retryc := make(chan int, 64)
-	var wg sync.WaitGroup
-	var injected atomic.Int64
-
-	spawn := func(id int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			name := workerName(id)
-			ws := kernels.NewWorkspace()
-			for msg := range ready {
-				op := dag.Ops[msg.gid%n]
-				job := &items[msg.gid/n]
-				start := rec.Now()
-				sp := job.trace.StartKernel(job.span, op.String(), op.Kind.Step(), name, msg.gid%n, msg.attempt)
-				err := applyProtected(in, inj, reg, job.f, op,
-					id, msg.gid/n, msg.gid%n, msg.attempt, &injected, ws)
-				job.trace.EndErr(sp, err)
-				if rec != nil && err == nil {
-					rec.Add(trace.Event{
-						Label: op.String(), Step: op.Kind.Step(),
-						Worker: name, Start: start, End: rec.Now(),
-					})
-				}
-				dropped := inj.KernelDrop()
-				done <- opResult{gid: msg.gid, worker: id, attempt: msg.attempt, err: err, dropped: dropped}
-				if dropped {
-					return
-				}
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		spawn(w)
-	}
-	alive := workers
-
-	remaining := make([]int, total)
-	for j := 0; j < k; j++ {
-		base := j * n
-		for i := range dag.Deps {
-			remaining[base+i] = len(dag.Deps[i])
-		}
-	}
-	var q dispatchQueue
-	if opt.Priority == CriticalPath {
-		depth := remainingDepth(dag)
-		all := make([]int, total)
-		for g := range all {
-			all[g] = depth[g%n]
-		}
-		q = &heapQueue{h: &opHeap{depth: all}}
-	} else {
-		q = &fifoQueue{}
-	}
-	for g, r := range remaining {
-		if r == 0 {
-			q.push(g)
-		}
-	}
-
-	// aborted reports (and latches) whether item j has failed — its context
-	// fired or one of its kernels failed terminally. This is the
-	// task-dispatch-point check: it runs once per operation, before the
-	// operation is handed to a worker.
-	executed := make([]int, k)
-	aborted := func(j int) bool {
-		if errs[j] != nil {
-			return true
-		}
-		ctx := items[j].ctx
-		if ctx == nil {
-			return false
-		}
-		if err := ctx.Err(); err != nil {
-			errs[j] = fmt.Errorf("runtime: factorization aborted after %d of %d ops: %w", executed[j], n, err)
-			return true
-		}
-		return false
-	}
-	// release marks gid complete and unblocks its successors (same item).
-	release := func(gid int) {
-		base := gid - gid%n
-		for _, s := range dag.Succs[gid%n] {
-			g := base + s
-			remaining[g]--
-			if remaining[g] == 0 {
-				q.push(g)
-			}
-		}
-	}
-	// attempts[g] is how many retries op g has consumed; budget[j] how many
-	// retries item j has spent across all its ops.
-	attempts := make([]int, total)
-	budget := make([]int, k)
-
-	inFlight, completed := 0, 0
-	for completed < total {
-		for inFlight < alive && q.size() > 0 {
-			gid := q.pop()
-			if aborted(gid / n) {
-				// Skip the kernel but keep the bookkeeping: successors are
-				// released so the loop still terminates and other items in
-				// the batch proceed undisturbed.
-				completed++
-				release(gid)
-				continue
-			}
-			executed[gid/n]++
-			ready <- dispatchMsg{gid: gid, attempt: attempts[gid]}
-			inFlight++
-		}
-		if completed == total {
-			break
-		}
-		in.queueDepth(q.size())
-		select {
-		case res := <-done:
-			inFlight--
-			if res.dropped {
-				alive--
-				rep.WorkerDrops++
-				rep.DroppedWorkers = append(rep.DroppedWorkers, res.worker)
-				reg.Counter(metrics.With(fault.MetricInjected, "kind", fault.KindDrop.String())).Inc()
-				reg.Counter(metrics.With(fault.MetricReplans, "layer", "runtime")).Inc()
-				if opt.Logger != nil {
-					opt.Logger.Warn("runtime: worker dropped mid-batch",
-						"worker", res.worker, "alive", alive)
-				}
-				if alive == 0 {
-					// The pool must never die with work outstanding; the
-					// injector's once-latch keeps the respawn alive.
-					spawn(res.worker)
-					alive = 1
-				}
-			}
-			j := res.gid / n
-			if res.err == nil {
-				if attempts[res.gid] > 0 {
-					rep.Recovered++
-					reg.Counter(fault.MetricRecovered).Inc()
-				}
-				completed++
-				release(res.gid)
-				continue
-			}
-			if errs[j] == nil && fault.TaskRetryable(res.err) &&
-				attempts[res.gid]+1 < retry.MaxAttempts && budget[j] < retry.Budget {
-				attempts[res.gid]++
-				budget[j]++
-				rep.Retries++
-				delay := retry.Backoff(res.gid, attempts[res.gid])
-				reg.Histogram(fault.MetricRetryWaitUS).Observe(float64(delay) / float64(time.Microsecond))
-				if opt.Logger != nil {
-					opt.Logger.Warn("runtime: kernel retry scheduled",
-						"trace_id", items[j].traceID(), "op", dag.Ops[res.gid%n].String(),
-						"attempt", attempts[res.gid], "delay", delay, "err", res.err)
-				}
-				gid := res.gid
-				time.AfterFunc(delay, func() { retryc <- gid })
-				continue
-			}
-			if errs[j] == nil {
-				if fault.TaskRetryable(res.err) {
-					errs[j] = &fault.BudgetExhaustedError{Op: dag.Ops[res.gid%n].String(), Retries: attempts[res.gid], Err: res.err}
-					rep.Exhausted++
-					reg.Counter(fault.MetricExhausted).Inc()
-				} else {
-					errs[j] = fmt.Errorf("runtime: %s failed: %w", dag.Ops[res.gid%n], res.err)
-				}
-				if opt.Logger != nil {
-					opt.Logger.Error("runtime: item failed terminally",
-						"trace_id", items[j].traceID(), "op", dag.Ops[res.gid%n].String(),
-						"err", errs[j])
-				}
-			}
-			completed++
-			release(res.gid)
-		case gid := <-retryc:
-			// An op coming back from backoff re-enters the ready queue; if
-			// its item aborted meanwhile, dispatch will skip it.
-			q.push(gid)
-		}
-	}
-	close(ready)
-	// Drain the pool before returning: every worker has exited, so callers
-	// (and the goroutine-leak tests) observe no stragglers.
-	wg.Wait()
-	rep.Injected = injected.Load()
-	in.finish(workers, total)
-	return errs, rep
 }

@@ -103,7 +103,7 @@ func TestExecuteBatchMatchesDirectFactor(t *testing.T) {
 		batch[i] = BatchItem{F: tiled.NewFactorization(tiled.FromDense(a, tile), tree)}
 	}
 	reg := metrics.NewRegistry()
-	errs := ExecuteBatch(dag, batch, 4, reg)
+	errs, _ := ExecuteBatch(dag, batch, BatchOptions{Workers: 4, Metrics: reg})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
@@ -139,7 +139,7 @@ func TestExecuteBatchPerItemCancellation(t *testing.T) {
 		{Ctx: context.Background(), F: tiled.NewFactorization(tiled.FromDense(aLive, tile), tree)},
 		{F: mk(202)}, // nil ctx: never cancelled
 	}
-	errs := ExecuteBatch(dag, batch, 2, nil)
+	errs, _ := ExecuteBatch(dag, batch, BatchOptions{Workers: 2})
 	if !errors.Is(errs[0], context.Canceled) {
 		t.Fatalf("item 0: want context.Canceled, got %v", errs[0])
 	}
@@ -158,7 +158,7 @@ func TestExecuteBatchPerItemCancellation(t *testing.T) {
 func TestExecuteBatchEmpty(t *testing.T) {
 	l := tiled.NewLayout(32, 32, 16)
 	dag := tiled.BuildDAG(l, tiled.FlatTS{})
-	if errs := ExecuteBatch(dag, nil, 4, nil); len(errs) != 0 {
+	if errs, _ := ExecuteBatch(dag, nil, BatchOptions{Workers: 4}); len(errs) != 0 {
 		t.Fatalf("empty batch: %v", errs)
 	}
 }

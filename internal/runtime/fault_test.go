@@ -107,7 +107,7 @@ func TestRealKernelPanicContained(t *testing.T) {
 		{F: tiled.NewFactorization(tiled.FromDense(workload.Uniform(10, 48, 64), tile), tree)},
 		{F: tiled.NewFactorization(tiled.FromDense(aGood, tile), tree)},
 	}
-	errs, rep := ExecuteBatchWith(dag, batch, BatchOptions{Workers: 2, Retry: generousRetry})
+	errs, rep := ExecuteBatch(dag, batch, BatchOptions{Workers: 2, Retry: generousRetry})
 	var pe *fault.KernelPanicError
 	if !errors.As(errs[0], &pe) {
 		t.Fatalf("want KernelPanicError, got %v", errs[0])
@@ -245,7 +245,7 @@ func TestBatchItemIsolationUnderFaults(t *testing.T) {
 	// whose rate is high enough that item 2 exhausts a tiny budget while
 	// the injector's per-item draws leave other items' failures recoverable.
 	inj := fault.New(fault.Config{Seed: 13, TransientRate: 0.15})
-	errs, rep := ExecuteBatchWith(dag, batch, BatchOptions{
+	errs, rep := ExecuteBatch(dag, batch, BatchOptions{
 		Workers: 4,
 		Faults:  inj,
 		Retry:   generousRetry,

@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/tiled"
@@ -29,43 +32,140 @@ func recoverKernelPanic(t *testing.T, fn func()) (err *fault.KernelPanicError) {
 	return nil
 }
 
-// corruptDAG returns a valid factorization plan whose final op references a
-// tile far out of range, so the worker that executes it panics inside
-// TiledMatrix.Tile.
-func corruptDAG() (*tiled.DAG, *tiled.Factorization) {
-	const tile = 8
-	a := workload.Uniform(11, 32, 32)
-	dag := tiled.BuildDAG(tiled.NewLayout(32, 32, tile), tiled.FlatTS{})
-	f := tiled.NewFactorization(tiled.FromDense(a, tile), tiled.FlatTS{})
-	dag.Ops[len(dag.Ops)-1].Row = 1 << 20
-	return dag, f
+// loopCases runs the executor under every pool size and dispatch order the
+// containment tests cover.
+var loopCases = []struct {
+	name     string
+	workers  int
+	priority Priority
+}{
+	{"fifo-1", 1, FIFO},
+	{"fifo-4", 4, FIFO},
+	{"critical-path-1", 1, CriticalPath},
+	{"critical-path-4", 4, CriticalPath},
 }
 
-func TestExecuteContainsWorkerPanic(t *testing.T) {
-	dag, f := corruptDAG()
-	err := recoverKernelPanic(t, func() { Execute(dag, f, 4, nil) })
-	if err.Op == "" || err.Step == "" {
-		t.Errorf("contained panic lost op attribution: %+v", err)
+// runLoop runs task over g once on the manager loop.
+func runLoop(g Graph, workers int, p Priority, task func(worker, id int) error) error {
+	errs, _ := execute(&g, make([]BatchItem, 1), BatchOptions{Workers: workers, Priority: p}, nil,
+		func(w, id, _ int) error { return task(w, id) })
+	return errs[0]
+}
+
+// qrGraph is the operation DAG of a 4×4-tile QR factorization, and failAt
+// an operation in its middle that has successors.
+func qrGraph() (g Graph, failAt int) {
+	dag := tiled.BuildDAG(tiled.NewLayout(32, 32, 8), tiled.FlatTS{})
+	for i, op := range dag.Ops {
+		if op.Kind == tiled.KindTSQRT {
+			return *graphOf(dag), i
+		}
 	}
-	if err.Worker < 0 || err.Worker >= 4 {
-		t.Errorf("contained panic has worker %d, want 0..3", err.Worker)
+	panic("no TSQRT in the DAG")
+}
+
+// descendants returns every task reachable from id through Succs.
+func descendants(g Graph, id int) map[int]bool {
+	seen := map[int]bool{}
+	stack := append([]int(nil), g.Succs[id]...)
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, g.Succs[s]...)
+		}
+	}
+	return seen
+}
+
+func TestLoopContainsTaskPanic(t *testing.T) {
+	g, failAt := qrGraph()
+	for _, tc := range loopCases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runLoop(g, tc.workers, tc.priority, func(_, id int) error {
+				if id == failAt {
+					panic("boom")
+				}
+				return nil
+			})
+			var kp *fault.KernelPanicError
+			if !errors.As(err, &kp) {
+				t.Fatalf("want a *fault.KernelPanicError, got %v", err)
+			}
+			if op, step := g.Label(failAt); kp.Op != op || kp.Step != step {
+				t.Errorf("panic attributed to %q/%q, want %q/%q", kp.Op, kp.Step, op, step)
+			}
+			if kp.Worker < 0 || kp.Worker >= tc.workers {
+				t.Errorf("contained panic has worker %d, want 0..%d", kp.Worker, tc.workers-1)
+			}
+			if kp.Value != "boom" || kp.Injected {
+				t.Errorf("panic value %v (injected %v), want the real panic", kp.Value, kp.Injected)
+			}
+		})
 	}
 }
 
-func TestExecutePriorityContainsWorkerPanic(t *testing.T) {
-	dag, f := corruptDAG()
-	err := recoverKernelPanic(t, func() { ExecutePriority(dag, f, 4, nil) })
-	if err.Op == "" {
-		t.Errorf("contained panic lost op attribution: %+v", err)
+func TestLoopTaskErrorSkipsSuccessors(t *testing.T) {
+	g, failAt := qrGraph()
+	below := descendants(g, failAt)
+	errBad := errors.New("bad tile")
+	for _, tc := range loopCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ran := make([]atomic.Bool, len(g.Deps))
+			err := runLoop(g, tc.workers, tc.priority, func(_, id int) error {
+				ran[id].Store(true)
+				if id == failAt {
+					return errBad
+				}
+				return nil
+			})
+			if !errors.Is(err, errBad) {
+				t.Fatalf("want the task's error, got %v", err)
+			}
+			for s := range below {
+				if ran[s].Load() {
+					t.Errorf("successor %d of failed task %d ran", s, failAt)
+				}
+			}
+		})
 	}
 }
 
-func TestExecuteSingleWorkerContainsPanic(t *testing.T) {
-	// One worker exercises the manager path where the panicking worker was
-	// also the only receiver on the dispatch channel.
-	dag, f := corruptDAG()
-	recoverKernelPanic(t, func() { Execute(dag, f, 1, nil) })
-	recoverKernelPanic(t, func() { ExecutePriority(dag, f, 1, nil) })
+func TestLoopEmptyAndOversizedPoolReturn(t *testing.T) {
+	one := Graph{Deps: [][]int{nil}, Succs: [][]int{nil}}
+	for _, tc := range []struct {
+		name    string
+		g       Graph
+		workers int
+		want    int
+	}{
+		{"empty graph", Graph{}, 4, 0},
+		{"more workers than tasks", one, 16, 1},
+		{"no workers", one, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			done := make(chan error, 1)
+			go func() {
+				done <- Run(tc.g, tc.workers, func(int, int) error {
+					calls.Add(1)
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("executor hung")
+			}
+			if int(calls.Load()) != tc.want {
+				t.Fatalf("ran %d tasks, want %d", calls.Load(), tc.want)
+			}
+		})
+	}
 }
 
 func TestApplyParallelContainsWorkerPanic(t *testing.T) {

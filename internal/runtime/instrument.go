@@ -32,7 +32,8 @@ const (
 	// completion; MetricQueuePeak is its high-water mark.
 	MetricQueueDepth = "runtime.queue_depth"
 	MetricQueuePeak  = "runtime.queue_peak"
-	// MetricWallUS is the wall-clock of each Execute call (µs, histogram).
+	// MetricWallUS is the wall-clock of each execution — one Factor or
+	// ExecuteBatch call (µs, histogram).
 	MetricWallUS = "runtime.wall_us"
 	// MetricWorkers and MetricDagOps record the latest execution's
 	// configuration (gauges).
@@ -43,7 +44,7 @@ const (
 	MetricFactors  = "runtime.factors"
 	MetricFactorUS = "runtime.factor_us"
 	// MetricExecAllocObjects is the number of heap objects allocated
-	// process-wide during the latest Execute call (gauge, from the runtime's
+	// process-wide during the latest execution (gauge, from the runtime's
 	// /gc/heap/allocs:objects counter). With workspace-owning workers the
 	// kernel loop contributes nothing, so on an otherwise-quiet process this
 	// stays at the small fixed cost of the manager's own bookkeeping
@@ -69,13 +70,14 @@ func stepIndex(k tiled.Kind) int {
 	}
 }
 
-// instr caches metric handles for one Execute call so the worker loop's
+// instr caches metric handles for one execution so the worker loop's
 // per-kernel cost is a handful of atomic adds. A nil *instr disables
 // everything (and is what a nil Options.Metrics produces).
 type instr struct {
 	reg       *metrics.Registry
 	ops       [len(stepNames)]*metrics.Counter
 	lat       [len(stepNames)]*metrics.Histogram
+	names     []string         // per worker
 	busy      []*metrics.Gauge // per worker
 	depth     *metrics.Gauge
 	peak      *metrics.Gauge
@@ -95,20 +97,21 @@ func allocObjects() uint64 {
 	return 0
 }
 
-// newInstr resolves all handles up front. Returns nil when reg is nil.
-func newInstr(reg *metrics.Registry, workers int) *instr {
+// newInstr resolves all handles up front for workers with the given
+// names. Returns nil when reg is nil.
+func newInstr(reg *metrics.Registry, names []string) *instr {
 	if reg == nil {
 		return nil
 	}
-	in := &instr{reg: reg, depth: reg.Gauge(MetricQueueDepth), peak: reg.Gauge(MetricQueuePeak), start: time.Now(), allocs0: allocObjects()}
+	workers := len(names)
+	in := &instr{reg: reg, names: names, depth: reg.Gauge(MetricQueueDepth), peak: reg.Gauge(MetricQueuePeak), start: time.Now(), allocs0: allocObjects()}
 	for s, name := range stepNames {
 		in.ops[s] = reg.Counter(metrics.With(MetricOps, "step", name))
 		in.lat[s] = reg.Histogram(metrics.With(MetricOpUS, "step", name))
 		in.labelSets[s] = make([]pprof.LabelSet, workers)
 	}
 	in.busy = make([]*metrics.Gauge, workers)
-	for w := 0; w < workers; w++ {
-		name := workerName(w)
+	for w, name := range names {
 		// Busy/idle gauges describe the latest execution, so each run
 		// starts them from zero (counters and histograms accumulate).
 		in.busy[w] = reg.Gauge(metrics.With(MetricWorkerBusyUS, "worker", name))
@@ -161,20 +164,20 @@ func (in *instr) queueDepth(n int) {
 
 // finish records the execution-wide figures: wall clock, per-worker idle
 // time, and the run configuration.
-func (in *instr) finish(workers, dagOps int) {
+func (in *instr) finish(dagOps int) {
 	if in == nil {
 		return
 	}
 	wallUS := float64(time.Since(in.start)) / float64(time.Microsecond)
 	in.reg.Histogram(MetricWallUS).Observe(wallUS)
 	in.reg.Gauge(MetricExecAllocObjects).Set(float64(allocObjects() - in.allocs0))
-	in.reg.Gauge(MetricWorkers).Set(float64(workers))
+	in.reg.Gauge(MetricWorkers).Set(float64(len(in.names)))
 	in.reg.Gauge(MetricDagOps).Set(float64(dagOps))
-	for w := 0; w < workers; w++ {
+	for w, name := range in.names {
 		idle := wallUS - in.busy[w].Value()
 		if idle < 0 {
 			idle = 0
 		}
-		in.reg.Gauge(metrics.With(MetricWorkerIdleUS, "worker", workerName(w))).Set(idle)
+		in.reg.Gauge(metrics.With(MetricWorkerIdleUS, "worker", name)).Set(idle)
 	}
 }

@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"container/heap"
-
-	"repro/internal/tiled"
-)
+import "container/heap"
 
 // Priority selects how the manager orders ready operations.
 type Priority int
@@ -29,14 +25,14 @@ func (p Priority) String() string {
 	return "fifo"
 }
 
-// remainingDepth computes, for every op, the length of the longest chain of
-// successors hanging off it (inclusive). Processing ops in reverse index
-// order is valid because dependencies always point backwards.
-func remainingDepth(dag *tiled.DAG) []int {
-	depth := make([]int, len(dag.Ops))
-	for i := len(dag.Ops) - 1; i >= 0; i-- {
+// remainingDepth computes, for every task, the length of the longest chain
+// of successors hanging off it (inclusive). Processing tasks in reverse
+// index order is valid because dependencies always point backwards.
+func remainingDepth(succs [][]int) []int {
+	depth := make([]int, len(succs))
+	for i := len(succs) - 1; i >= 0; i-- {
 		best := 0
-		for _, s := range dag.Succs[i] {
+		for _, s := range succs[i] {
 			if depth[s] > best {
 				best = depth[s]
 			}
@@ -46,8 +42,9 @@ func remainingDepth(dag *tiled.DAG) []int {
 	return depth
 }
 
-// opHeap is a max-heap of op IDs ordered by remaining depth (ties broken by
-// schedule order, keeping the heap deterministic).
+// opHeap is a max-heap of task ids ordered by remaining depth (ties broken
+// by schedule order, keeping the heap deterministic). It is the
+// CriticalPath dispatchQueue.
 type opHeap struct {
 	ids   []int
 	depth []int
@@ -64,7 +61,10 @@ func (h *opHeap) Less(i, j int) bool {
 func (h *opHeap) Swap(i, j int) { h.ids[i], h.ids[j] = h.ids[j], h.ids[i] }
 func (h *opHeap) Push(x any)    { h.ids = append(h.ids, x.(int)) }
 func (h *opHeap) Pop() any      { x := h.ids[len(h.ids)-1]; h.ids = h.ids[:len(h.ids)-1]; return x }
-func (h *opHeap) pushID(id int) { heap.Push(h, id) }
-func (h *opHeap) popID() int    { return heap.Pop(h).(int) }
+func (h *opHeap) push(id int)   { heap.Push(h, id) }
+func (h *opHeap) pop() int      { return heap.Pop(h).(int) }
 
-var _ heap.Interface = (*opHeap)(nil)
+var (
+	_ heap.Interface = (*opHeap)(nil)
+	_ dispatchQueue  = (*opHeap)(nil)
+)

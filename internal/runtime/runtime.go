@@ -3,6 +3,11 @@
 // Fig. 7): a manager goroutine tracks dependencies and dispatches ready
 // operations; computing worker goroutines apply the tile kernels.
 //
+// There is one such manager loop (exec.go). Factor, FactorContext and
+// ExecuteBatch run QR factorizations on it; ApplyQT, ApplyQ and FormQ run
+// the Q-application DAG on it; other packages (tiled Cholesky, the
+// heterogeneous placement engine) reach it through Run or Factor.
+//
 // On a CUDA machine the computing threads would drive GPUs; here every
 // worker is a host goroutine, which is exactly the configuration the paper
 // uses for its CPU (PLASMA-based) device. The heterogeneous multi-device
@@ -20,10 +25,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -88,205 +91,4 @@ func (o *Options) Normalize() error {
 func Factor(a *matrix.Matrix, opts Options) (*tiled.Factorization, error) {
 	//qr:allow ctxdiscipline Factor is the documented uncancellable wrapper; cancellable callers use FactorContext
 	return FactorContext(context.Background(), a, opts)
-}
-
-// Execute runs an already-built DAG against a factorization using n worker
-// goroutines. It is exported so callers that pre-tile their data (or reuse
-// DAGs across matrices of identical shape) can skip the conversion in
-// Factor.
-func Execute(dag *tiled.DAG, f *tiled.Factorization, workers int, rec *trace.Recorder) {
-	ExecuteObserved(dag, f, workers, rec, nil)
-}
-
-// ExecuteObserved is Execute with metrics instrumentation (nil reg is
-// equivalent to Execute).
-func ExecuteObserved(dag *tiled.DAG, f *tiled.Factorization, workers int, rec *trace.Recorder, reg *metrics.Registry) {
-	n := len(dag.Ops)
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	in := newInstr(reg, workers)
-
-	// The manager/computing-thread protocol: ready ops flow to workers over
-	// `ready`; completions flow back over `done`. Both channels are buffered
-	// to capacity so neither side ever blocks the other spuriously.
-	ready := make(chan int, n)
-	done := make(chan int, n)
-
-	var panicked atomic.Pointer[fault.KernelPanicError]
-	opOf := func(id int) tiled.Op { return dag.Ops[id] }
-	for w := 0; w < workers; w++ {
-		go func(id int) {
-			cur := poisonedOp
-			defer guardWorker(&panicked, done, id, &cur, opOf)
-			name := workerName(id)
-			ws := kernels.NewWorkspace()
-			for opID := range ready {
-				cur = opID
-				start := rec.Now()
-				in.applyOp(f, dag.Ops[opID], id, ws)
-				if rec != nil {
-					op := dag.Ops[opID]
-					rec.Add(trace.Event{
-						Label: op.String(), Step: op.Kind.Step(),
-						Worker: name, Start: start, End: rec.Now(),
-					})
-				}
-				done <- opID
-				cur = poisonedOp
-			}
-		}(w)
-	}
-
-	// Manager: dependency counting with a ready push model.
-	remaining := make([]int, n)
-	for i := range dag.Deps {
-		remaining[i] = len(dag.Deps[i])
-	}
-	inFlight := 0
-	for i, r := range remaining {
-		if r == 0 {
-			ready <- i
-			inFlight++
-		}
-	}
-	in.queueDepth(len(ready))
-	completed := 0
-	for completed < n {
-		id := <-done
-		if id == poisonedOp {
-			// A worker contained a kernel panic: stop dispatching, release
-			// the surviving workers, and re-raise on the caller's goroutine.
-			close(ready)
-			panic(panicked.Load())
-		}
-		completed++
-		for _, s := range dag.Succs[id] {
-			remaining[s]--
-			if remaining[s] == 0 {
-				ready <- s
-			}
-		}
-		in.queueDepth(len(ready))
-	}
-	close(ready)
-	in.finish(workers, n)
-}
-
-// ExecutePriority runs the DAG like Execute but dispatches ready operations
-// in critical-path order: the manager keeps ready ops in a max-heap keyed
-// by remaining chain depth and hands workers at most one op each at a time,
-// so deeper chains (the panel) always pre-empt bulk updates in the queue.
-func ExecutePriority(dag *tiled.DAG, f *tiled.Factorization, workers int, rec *trace.Recorder) {
-	ExecutePriorityObserved(dag, f, workers, rec, nil)
-}
-
-// ExecutePriorityObserved is ExecutePriority with metrics instrumentation
-// (nil reg is equivalent to ExecutePriority).
-func ExecutePriorityObserved(dag *tiled.DAG, f *tiled.Factorization, workers int, rec *trace.Recorder, reg *metrics.Registry) {
-	n := len(dag.Ops)
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	in := newInstr(reg, workers)
-
-	// Unbuffered-ish dispatch: capacity 1 keeps at most one queued op per
-	// idle worker, so heap order governs execution order.
-	ready := make(chan int)
-	done := make(chan int, n)
-	var panicked atomic.Pointer[fault.KernelPanicError]
-	opOf := func(id int) tiled.Op { return dag.Ops[id] }
-	for w := 0; w < workers; w++ {
-		go func(id int) {
-			cur := poisonedOp
-			defer guardWorker(&panicked, done, id, &cur, opOf)
-			name := workerName(id)
-			ws := kernels.NewWorkspace()
-			for opID := range ready {
-				cur = opID
-				start := rec.Now()
-				in.applyOp(f, dag.Ops[opID], id, ws)
-				if rec != nil {
-					op := dag.Ops[opID]
-					rec.Add(trace.Event{
-						Label: op.String(), Step: op.Kind.Step(),
-						Worker: name, Start: start, End: rec.Now(),
-					})
-				}
-				done <- opID
-				cur = poisonedOp
-			}
-		}(w)
-	}
-
-	remaining := make([]int, n)
-	for i := range dag.Deps {
-		remaining[i] = len(dag.Deps[i])
-	}
-	h := &opHeap{depth: remainingDepth(dag)}
-	for i, r := range remaining {
-		if r == 0 {
-			h.pushID(i)
-		}
-	}
-	inFlight := 0
-	completed := 0
-	// poison stops the manager and re-raises the contained worker panic on
-	// the caller's goroutine.
-	poison := func() {
-		close(ready)
-		panic(panicked.Load())
-	}
-	complete := func(id int) {
-		completed++
-		inFlight--
-		for _, s := range dag.Succs[id] {
-			remaining[s]--
-			if remaining[s] == 0 {
-				h.pushID(s)
-			}
-		}
-	}
-	for completed < n {
-		// Dispatch as many ready ops as there are idle workers; block on a
-		// completion when either resource is exhausted. The dispatch send is
-		// unbuffered, so it must also watch done — otherwise every worker
-		// dying on a contained panic would leave the send with no receiver.
-		for inFlight < workers && h.Len() > 0 {
-			id := h.popID()
-			select {
-			case ready <- id:
-				inFlight++
-			case rid := <-done:
-				h.pushID(id)
-				if rid == poisonedOp {
-					poison()
-				}
-				complete(rid)
-			}
-		}
-		if completed >= n {
-			break
-		}
-		in.queueDepth(h.Len())
-		id := <-done
-		if id == poisonedOp {
-			poison()
-		}
-		complete(id)
-	}
-	close(ready)
-	in.finish(workers, n)
 }

@@ -163,7 +163,9 @@ func TestExecuteEmptyDAGNoHang(t *testing.T) {
 	dag := tiled.BuildDAG(l, tiled.FlatTS{})
 	f := tiled.NewFactorization(tiled.NewTiled(l), tiled.FlatTS{})
 	// 1 op (single tile) — exercise the workers>ops clamp.
-	Execute(dag, f, 16, nil)
+	if errs, _ := ExecuteBatch(dag, []BatchItem{{F: f}}, BatchOptions{Workers: 16}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
 }
 
 func TestParallelMatchesReferenceUnblocked(t *testing.T) {
@@ -215,7 +217,7 @@ func TestPriorityResultsIdenticalAcrossPolicies(t *testing.T) {
 func TestRemainingDepthMatchesCriticalPath(t *testing.T) {
 	l := tiled.NewLayout(40, 40, 8)
 	dag := tiled.BuildDAG(l, tiled.FlatTS{})
-	depth := remainingDepth(dag)
+	depth := remainingDepth(dag.Succs)
 	best := 0
 	for _, d := range depth {
 		if d > best {

@@ -93,6 +93,9 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 	}
 	const tile = 16
 	var crash atomic.Bool
+	// accepted closes once every phase-B job is durably accepted; the crash
+	// waits for it, so no phase-B submit can meet the halted store.
+	accepted := make(chan struct{})
 	cfg := Config{
 		Store:           fs1,
 		Executors:       1,
@@ -101,6 +104,7 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 		Metrics:         metrics.NewRegistry(),
 		testMidBatch: func() {
 			if crash.Load() {
+				<-accepted
 				fs1.Halt()
 			}
 		},
@@ -134,7 +138,14 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 	preResults := map[string][]float64{}
 	preTraces := map[string]string{}
 	for _, p := range phaseA {
+		// Wait returns once the job is done in memory; the executor
+		// persists its outcome just after, so poll for the terminal record.
 		rec, err := fs1.Get(p.cid)
+		for deadline := time.Now().Add(5 * time.Second); err == nil &&
+			rec.State != store.StateDone && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			rec, err = fs1.Get(p.cid)
+		}
 		if err != nil || rec.State != store.StateDone || rec.Result == nil {
 			t.Fatalf("phase A record %s = %+v (%v)", p.cid, rec, err)
 		}
@@ -156,6 +167,7 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 		phaseBTraces[p.cid] = j.TraceID()
 		jobsB = append(jobsB, j)
 	}
+	close(accepted)
 	for _, j := range jobsB {
 		// The in-memory server still completes the jobs; the disk does not
 		// hear about it — that asymmetry is the crash.

@@ -906,7 +906,7 @@ func (s *Server) runBatch(b *batch) {
 	if s.cfg.testMidBatch != nil {
 		s.cfg.testMidBatch()
 	}
-	errs, frep := runtime.ExecuteBatchWith(cls.dag, items, runtime.BatchOptions{
+	errs, frep := runtime.ExecuteBatch(cls.dag, items, runtime.BatchOptions{
 		Workers: cls.batchWorkers(),
 		Metrics: s.reg,
 		Faults:  s.cfg.Faults,

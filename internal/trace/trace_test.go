@@ -268,18 +268,20 @@ func TestWriteCSV(t *testing.T) {
 // exports snapshot the event slice under the lock (Events), so a live
 // qrmon/qrserve endpoint can render a trace mid-run. Run with -race.
 func TestExportWhileRecording(t *testing.T) {
+	// Each writer records a fixed number of events, half before and half
+	// after the exports begin, so the exports overlap live writes while
+	// the recorder stays small.
+	const perWriter = 256
 	r := NewRecorder()
-	stop := make(chan struct{})
+	exporting := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+			for i := 0; i < perWriter; i++ {
+				if i == perWriter/2 {
+					<-exporting
 				}
 				start := r.Now()
 				r.Add(Event{
@@ -290,6 +292,7 @@ func TestExportWhileRecording(t *testing.T) {
 			}
 		}(w)
 	}
+	close(exporting)
 	for i := 0; i < 200; i++ {
 		if r.Events() == nil {
 			t.Fatal("nil events from live recorder")
@@ -305,7 +308,6 @@ func TestExportWhileRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
 	wg.Wait()
 	// The snapshot invariant: exports sorted a copy, never the live slice,
 	// so a final Events call still sees a consistent, sorted view.
