@@ -21,6 +21,15 @@
 //	res, err := c.Factor(ctx, spec)            // Submit + Wait in one call
 //	out := c.Stream(ctx, specs, 8)             // bounded-concurrency pipeline
 //
+// Wire format: the client asks for results as binary matrix frames
+// (Accept: application/x-qr-matrix, application/json) and decodes a frame
+// into one rows·cols allocation that Result.R's rows slice; a JSON answer
+// from a server that does not speak frames decodes as before. A submission
+// with inline Data travels as a frame too (Content-Type
+// application/x-qr-matrix), with its other fields in the frame's metadata
+// section; a seed-only submission stays a small JSON object. A frame that
+// fails its shape, length or checksum test is an error, never a wrong R.
+//
 // Error taxonomy: sentinel errors (ErrDuplicate, ErrOverloaded, ErrNotFound,
 // ErrNotDone) match with errors.Is through the typed *APIError, and a job
 // that reached a terminal failure surfaces as *JobError with the server's
@@ -44,6 +53,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/mtxio"
 )
 
 // Sentinel errors, matched with errors.Is against everything the client
@@ -317,26 +328,11 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	if id == "" {
 		id, minted = mintKey(), true
 	}
-	body := map[string]any{"rows": spec.Rows, "cols": spec.Cols, "id": id}
-	if spec.Tile > 0 {
-		body["tile"] = spec.Tile
-	}
-	if spec.Tree != "" {
-		body["tree"] = spec.Tree
-	}
-	if spec.Data != nil {
-		body["data"] = spec.Data
-	} else {
-		body["seed"] = spec.Seed
-	}
-	if spec.Timeout > 0 {
-		body["timeoutMS"] = int(spec.Timeout / time.Millisecond)
-	}
-	payload, err := json.Marshal(body)
+	payload, contentType, err := encodeSubmission(spec, id)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode submission: %w", err)
 	}
-	hdr := http.Header{}
+	hdr := http.Header{"Content-Type": {contentType}}
 	if spec.TraceID != "" {
 		hdr.Set("X-Trace-Id", spec.TraceID)
 	}
@@ -364,6 +360,44 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	return &Job{c: c, ID: id, TraceID: resp.Header.Get("X-Trace-Id"), Class: st.Class}, nil
 }
 
+// encodeSubmission renders spec as a POST /jobs body and returns it with
+// its Content-Type. Inline data whose length matches the shape travels as
+// a binary frame; anything else is JSON, so the server keeps answering
+// malformed specs with its usual 400.
+func encodeSubmission(spec JobSpec, id string) ([]byte, string, error) {
+	timeoutMS := int(spec.Timeout / time.Millisecond)
+	if len(spec.Data) > 0 && spec.Rows > 0 && spec.Cols > 0 &&
+		len(spec.Data) == spec.Rows*spec.Cols && len(spec.Data) <= mtxio.MaxFrameElems {
+		meta, err := json.Marshal(struct {
+			ID        string `json:"id"`
+			Tile      int    `json:"tile,omitempty"`
+			Tree      string `json:"tree,omitempty"`
+			TimeoutMS int    `json:"timeoutMS,omitempty"`
+		}{id, max(spec.Tile, 0), spec.Tree, max(timeoutMS, 0)})
+		if err != nil {
+			return nil, "", err
+		}
+		return mtxio.AppendFrame(nil, meta, spec.Rows, spec.Cols, spec.Data), mtxio.FrameContentType, nil
+	}
+	body := map[string]any{"rows": spec.Rows, "cols": spec.Cols, "id": id}
+	if spec.Tile > 0 {
+		body["tile"] = spec.Tile
+	}
+	if spec.Tree != "" {
+		body["tree"] = spec.Tree
+	}
+	if spec.Data != nil {
+		body["data"] = spec.Data
+	} else {
+		body["seed"] = spec.Seed
+	}
+	if spec.Timeout > 0 {
+		body["timeoutMS"] = timeoutMS
+	}
+	payload, err := json.Marshal(body)
+	return payload, "application/json", err
+}
+
 // mintKey generates a client-side idempotency key for an id-less JobSpec:
 // minted once per Submit call, before the first attempt, so every retry of
 // that call presents the same key.
@@ -382,11 +416,15 @@ func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 	return st, err
 }
 
+// resultAccept is the Accept header of result requests: a binary frame
+// when the server speaks it, JSON otherwise.
+const resultAccept = mtxio.FrameContentType + ", application/json"
+
 // Result fetches a completed job's R factor. ErrNotDone while the job is
 // still queued or running; *JobError when it failed.
 func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 	var res Result
-	_, err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/result", nil, nil, &res)
+	_, err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/result", nil, http.Header{"Accept": {resultAccept}}, &res)
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) {
@@ -534,9 +572,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hdr h
 		if err != nil {
 			return nil, fmt.Errorf("client: build request: %w", err)
 		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
 		for k, vs := range hdr {
 			for _, h := range vs {
 				req.Header.Add(k, h)
@@ -556,7 +591,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hdr h
 		}
 		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 			if v != nil {
-				err := json.NewDecoder(resp.Body).Decode(v)
+				err := decodeBody(resp, v)
 				resp.Body.Close()
 				if err != nil {
 					return nil, fmt.Errorf("client: decode %s %s: %w", method, path, err)
@@ -588,6 +623,32 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hdr h
 		return nil, fmt.Errorf("%w after %d attempts: %v", ErrOverloaded, c.retry.MaxAttempts, lastErr)
 	}
 	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.retry.MaxAttempts, lastErr)
+}
+
+// decodeBody decodes a 2xx response into v: a binary matrix frame into a
+// *Result, JSON into anything.
+func decodeBody(resp *http.Response, v any) error {
+	res, ok := v.(*Result)
+	if !ok || !mtxio.IsFrameContentType(resp.Header.Get("Content-Type")) {
+		return json.NewDecoder(resp.Body).Decode(v)
+	}
+	h, m, err := mtxio.ReadFrame(resp.Body, resp.ContentLength)
+	if err != nil {
+		return err
+	}
+	var meta struct {
+		ID string `json:"id"`
+	}
+	if len(h.Meta) > 0 {
+		if err := json.Unmarshal(h.Meta, &meta); err != nil {
+			return fmt.Errorf("frame metadata: %w", err)
+		}
+	}
+	*res = Result{ID: meta.ID, Rows: m.Rows, Cols: m.Cols, R: make([][]float64, m.Rows)}
+	for i := range res.R {
+		res.R[i] = m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
+	}
+	return nil
 }
 
 // backoff charges one attempt and, if budget remains, sleeps the jittered

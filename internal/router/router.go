@@ -36,6 +36,13 @@
 // per-incarnation random instance token ("rt-<instance>-<n>"): the workers'
 // stores outlive the router, so a restarted router must never re-mint a key
 // a previous incarnation already spent.
+//
+// Submissions are JSON or binary matrix frames (mtxio, Content-Type
+// application/x-qr-matrix). The router reads only what placement needs — a
+// frame's header and metadata section — and forwards, journals and
+// re-dispatches the body byte for byte, labelled by sniffing it. Reads pass
+// the client's Accept header through, so a result comes back in whichever
+// form the client negotiated with the worker.
 package router
 
 import (
@@ -54,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/mtxio"
 	"repro/internal/store"
 	"repro/internal/tiled"
 )
@@ -418,9 +426,10 @@ func (r *Router) Handler(expvarName string) http.Handler {
 	return mux
 }
 
-// submitRequest is the subset of the worker POST /jobs body the router
-// needs: identity and the class-key fields that drive placement. The raw
-// body is forwarded; only "id" is injected when absent.
+// submitRequest is the subset of the worker POST /jobs body (or of a
+// frame's metadata section plus its shape) the router needs: identity and
+// the class-key fields that drive placement. The raw body is forwarded;
+// only "id" is injected when absent.
 type submitRequest struct {
 	ID   string `json:"id,omitempty"`
 	Rows int    `json:"rows"`
@@ -443,13 +452,13 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if r.refuseStandby(w) {
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(req.Body, 256<<20))
+	raw, err := readBody(req.Body, req.ContentLength, 256<<20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
-	var sub submitRequest
-	if err := json.Unmarshal(raw, &sub); err != nil {
+	sub, err := parseSubmission(raw, mtxio.IsFrameContentType(req.Header.Get("Content-Type")))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -494,7 +503,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		r.mu.Unlock()
 		// Known duplicate: answer 409 with the job's current status from
 		// its worker, matching the single-worker contract.
-		r.conflict(w, prev)
+		r.conflict(w, req, prev)
 		return
 	}
 	r.jobs[id] = e
@@ -544,15 +553,37 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	copyResponse(w, resp, respBody)
 }
 
+// parseSubmission extracts the placement fields of a submission body: a
+// JSON object, or — when frame is set — a binary matrix frame, validated in
+// full (shape, length, checksum) but with only its header and metadata
+// section decoded.
+func parseSubmission(raw []byte, frame bool) (submitRequest, error) {
+	var sub submitRequest
+	if !frame {
+		return sub, json.Unmarshal(raw, &sub)
+	}
+	h, err := mtxio.ParseFrame(raw)
+	if err != nil {
+		return sub, err
+	}
+	if len(h.Meta) > 0 {
+		if err := json.Unmarshal(h.Meta, &sub); err != nil {
+			return sub, fmt.Errorf("frame metadata: %w", err)
+		}
+	}
+	sub.Rows, sub.Cols = h.Rows, h.Cols
+	return sub, nil
+}
+
 // conflict renders a duplicate submission: 409 carrying the existing job's
 // status when its worker can produce one.
-func (r *Router) conflict(w http.ResponseWriter, e *entry) {
+func (r *Router) conflict(w http.ResponseWriter, req *http.Request, e *entry) {
 	widx := e.workerIdx()
 	if widx >= 0 {
-		resp, err := r.hc.Get(r.workers[widx].url + "/jobs/" + e.id)
+		resp, err := r.get(r.workers[widx].url+"/jobs/"+e.id, req)
 		if err == nil {
 			defer resp.Body.Close()
-			if body, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20)); rerr == nil && resp.StatusCode == http.StatusOK {
+			if body, rerr := readBody(resp.Body, resp.ContentLength, 64<<20); rerr == nil && resp.StatusCode == http.StatusOK {
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusConflict)
 				_, _ = w.Write(body)
@@ -586,7 +617,7 @@ func (r *Router) dispatch(e *entry) (*http.Response, int, error) {
 		if err != nil {
 			return nil, -1, err
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType(e.body))
 		if e.traceID != "" {
 			req.Header.Set("X-Trace-Id", e.traceID)
 		}
@@ -645,7 +676,7 @@ func (r *Router) proxyRead(w http.ResponseWriter, req *http.Request, suffix stri
 	e, ok := r.jobs[id]
 	r.mu.Unlock()
 	if !ok {
-		r.fanoutRead(w, id, suffix)
+		r.fanoutRead(w, req, id, suffix)
 		return
 	}
 	widx := e.workerIdx()
@@ -657,7 +688,7 @@ func (r *Router) proxyRead(w http.ResponseWriter, req *http.Request, suffix stri
 			fmt.Errorf("router: job %q is being re-dispatched", id))
 		return
 	}
-	resp, err := r.hc.Get(r.workers[widx].url + "/jobs/" + id + suffix)
+	resp, err := r.get(r.workers[widx].url+"/jobs/"+id+suffix, req)
 	if err != nil {
 		r.reg.Counter(metrics.With(MetricWorkerErrors, "worker", r.workers[widx].url)).Inc()
 		w.Header().Set("Retry-After", "1")
@@ -666,7 +697,7 @@ func (r *Router) proxyRead(w http.ResponseWriter, req *http.Request, suffix stri
 		return
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	body, err := readBody(resp.Body, resp.ContentLength, 256<<20)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("router: worker read: %v", err))
 		return
@@ -679,7 +710,7 @@ func (r *Router) proxyRead(w http.ResponseWriter, req *http.Request, suffix stri
 // live worker in turn: the first answer that is not a 404 is authoritative
 // (at most one worker ever accepted a given idempotency key). Only when the
 // whole fleet disclaims the id does the client get 404.
-func (r *Router) fanoutRead(w http.ResponseWriter, id, suffix string) {
+func (r *Router) fanoutRead(w http.ResponseWriter, req *http.Request, id, suffix string) {
 	r.mFanout.Inc()
 	for pass := 0; pass < 2; pass++ {
 		for widx, wk := range r.workers {
@@ -688,7 +719,7 @@ func (r *Router) fanoutRead(w http.ResponseWriter, id, suffix string) {
 			if (pass == 0) != r.isAlive(widx) {
 				continue
 			}
-			resp, err := r.hc.Get(wk.url + "/jobs/" + id + suffix)
+			resp, err := r.get(wk.url+"/jobs/"+id+suffix, req)
 			if err != nil {
 				r.reg.Counter(metrics.With(MetricWorkerErrors, "worker", wk.url)).Inc()
 				continue
@@ -697,7 +728,7 @@ func (r *Router) fanoutRead(w http.ResponseWriter, id, suffix string) {
 				resp.Body.Close()
 				continue
 			}
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+			body, rerr := readBody(resp.Body, resp.ContentLength, 256<<20)
 			resp.Body.Close()
 			if rerr != nil {
 				continue
@@ -824,15 +855,69 @@ func randomToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// injectID adds the router-minted idempotency key to a raw submission body.
+// injectID adds the router-minted idempotency key to a raw submission body:
+// a JSON body's top-level object, or a frame's metadata section (the
+// payload is copied through untouched).
 func injectID(raw []byte, id string) ([]byte, error) {
+	if !mtxio.IsFrame(raw) {
+		return setID(raw, id)
+	}
+	h, err := mtxio.ParseFrame(raw)
+	if err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	meta := h.Meta
+	if len(meta) == 0 {
+		meta = []byte("{}")
+	}
+	if meta, err = setID(meta, id); err != nil {
+		return nil, err
+	}
+	return mtxio.ReplaceFrameMeta(raw, meta)
+}
+
+// setID sets "id" in a JSON object.
+func setID(obj []byte, id string) ([]byte, error) {
 	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if err := json.Unmarshal(obj, &m); err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
 	}
 	idJSON, _ := json.Marshal(id)
 	m["id"] = idJSON
 	return json.Marshal(m)
+}
+
+// contentType labels a stored submission body for dispatch. Bodies are
+// kept as the client sent them, so a frame is recognised by its magic.
+func contentType(body []byte) string {
+	if mtxio.IsFrame(body) {
+		return mtxio.FrameContentType
+	}
+	return "application/json"
+}
+
+// get issues a job read to a worker, passing the client's Accept header
+// through so the worker answers in the representation the client asked for.
+func (r *Router) get(url string, client *http.Request) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	if accept := client.Header.Get("Accept"); accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	return r.hc.Do(req)
+}
+
+// readBody reads a whole body of at most limit bytes, in one allocation
+// when its length is declared.
+func readBody(rd io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > limit {
+		return io.ReadAll(io.LimitReader(rd, limit))
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(rd, b)
+	return b, err
 }
 
 // retryAfter parses a 429's Retry-After into the backoff horizon (default
@@ -855,6 +940,7 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
 			w.Header().Set(h, v)
 		}
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(body)
 }

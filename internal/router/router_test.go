@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -206,6 +207,49 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
+// fixedNames gives each test server a stable worker URL
+// ("http://qr-worker-<i>.test") and returns a client whose transport dials
+// those names to the servers' real listeners. The ring hashes worker URLs,
+// so stable names make placement independent of the ports httptest picks.
+func fixedNames(t *testing.T, servers ...*httptest.Server) ([]string, *http.Client) {
+	t.Helper()
+	addr := map[string]string{}
+	urls := make([]string, len(servers))
+	for i, ts := range servers {
+		host := fmt.Sprintf("qr-worker-%d.test", i)
+		urls[i] = "http://" + host
+		addr[host+":80"] = ts.Listener.Addr().String()
+	}
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, a string) (net.Conn, error) {
+		if real, ok := addr[a]; ok {
+			a = real
+		}
+		return d.DialContext(ctx, network, a)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	return urls, &http.Client{Timeout: 30 * time.Second, Transport: tr}
+}
+
+// waitAllAlive blocks until the router reports every worker dispatchable.
+func waitAllAlive(t *testing.T, r *Router) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		alive := true
+		for _, ws := range r.Workers() {
+			alive = alive && ws.Alive && !ws.BackingOff
+		}
+		if alive {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never all alive: %+v", r.Workers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestRouterBackpressureSteersToNextWorker: a worker that keeps answering
 // 429 is walked past — its jobs land on the ring neighbour and the refusals
 // are visible in router metrics.
@@ -221,17 +265,26 @@ func TestRouterBackpressureSteersToNextWorker(t *testing.T) {
 	}))
 	defer full.Close()
 	real0, _ := newWorker(t, serve.Config{})
+	urls, hc := fixedNames(t, full, real0)
 	reg := metrics.NewRegistry()
-	_, c, _ := newRouterClient(t, Config{
-		Workers: []string{full.URL, real0.URL}, Metrics: reg,
+	r, c, _ := newRouterClient(t, Config{
+		Workers: urls, Metrics: reg, HTTPClient: hc,
 		HealthInterval: 25 * time.Millisecond,
 	})
-	// Enough classes that some hash to the saturated worker first (the odds
-	// of all 16 primaries landing on the other worker are 2^-16).
-	for i := 0; i < 16; i++ {
-		if _, err := c.Factor(testCtx(t), client.JobSpec{Rows: 32 + 8*i, Cols: 32, Seed: int64(i)}); err != nil {
-			t.Fatalf("factor %d: %v", i, err)
+	// With fixed worker names the ring layout is fixed: pick the first
+	// class whose primary is the saturated worker.
+	rows := 0
+	for n := 32; n <= 512 && rows == 0; n += 8 {
+		if r.ring.sequence(fmt.Sprintf("%dx32/b16/flat-ts", n))[0] == 0 {
+			rows = n
 		}
+	}
+	if rows == 0 {
+		t.Fatal("no class has the saturated worker as its ring primary")
+	}
+	waitAllAlive(t, r)
+	if _, err := c.Factor(testCtx(t), client.JobSpec{Rows: rows, Cols: 32, Seed: 1}); err != nil {
+		t.Fatalf("factor: %v", err)
 	}
 	if got := reg.Snapshot().SumCounters(MetricBackpressure); got == 0 {
 		t.Fatal("no 429s absorbed — saturated worker never primary (ring layout changed?)")

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/metrics"
+	"repro/internal/mtxio"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/store"
@@ -28,7 +29,11 @@ import (
 //	GET  /drift            per-class model-vs-measured drift report
 //
 // Submissions describe the matrix either inline ("data", row-major) or as
-// a reproducible workload ("seed"); see jobRequest. Jobs outlive their
+// a reproducible workload ("seed"); see jobRequest. An inline matrix may
+// instead arrive as a binary frame (Content-Type application/x-qr-matrix,
+// see mtxio.ReadFrame) whose metadata section carries the other jobRequest
+// fields. A result is a binary frame when the request's Accept header lists
+// application/x-qr-matrix, JSON otherwise. Jobs outlive their
 // submitting request — status is polled by ID. Every accepted submission
 // returns its trace id in the X-Trace-Id response header (a client may
 // propose one in the same request header); the id keys /traces/{id}.
@@ -140,29 +145,49 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmission reads a POST /jobs body: a binary frame when the
+// Content-Type names one — its matrix decodes straight into the job's
+// storage and its metadata section supplies the other jobRequest fields —
+// and a JSON jobRequest otherwise. A nil matrix means a seed-only job.
+func decodeSubmission(r *http.Request) (jobRequest, *matrix.Matrix, error) {
 	var req jobRequest
+	if mtxio.IsFrameContentType(r.Header.Get("Content-Type")) {
+		h, a, err := mtxio.ReadFrame(r.Body, r.ContentLength)
+		if err == nil && len(h.Meta) > 0 {
+			err = json.Unmarshal(h.Meta, &req)
+		}
+		if err != nil {
+			return req, nil, fmt.Errorf("bad request body: %w", err)
+		}
+		req.Rows, req.Cols, req.Data, req.Seed = h.Rows, h.Cols, nil, 0
+		return req, a, nil
+	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		return req, nil, fmt.Errorf("bad request body: %w", err)
 	}
 	if req.Rows <= 0 || req.Cols <= 0 {
-		writeError(w, http.StatusBadRequest, errors.New("rows and cols must be positive"))
+		return req, nil, errors.New("rows and cols must be positive")
+	}
+	if len(req.Data) == 0 {
+		return req, nil, nil
+	}
+	if len(req.Data) != req.Rows*req.Cols {
+		return req, nil, fmt.Errorf("data length %d != rows*cols = %d", len(req.Data), req.Rows*req.Cols)
+	}
+	a := matrix.New(req.Rows, req.Cols)
+	copy(a.Data, req.Data)
+	return req, a, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, a, err := decodeSubmission(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var a *matrix.Matrix
-	seedOnly := false
-	if len(req.Data) > 0 {
-		if len(req.Data) != req.Rows*req.Cols {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("data length %d != rows*cols = %d", len(req.Data), req.Rows*req.Cols))
-			return
-		}
-		a = matrix.New(req.Rows, req.Cols)
-		copy(a.Data, req.Data)
-	} else {
+	seedOnly := a == nil
+	if seedOnly {
 		a = workload.Uniform(req.Seed, req.Rows, req.Cols)
-		seedOnly = true
 	}
 	// The job's context is deliberately NOT the request context: the job
 	// outlives this HTTP exchange and is cancelled only by its own
@@ -288,7 +313,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.resolveJob(id)
 	if !ok {
 		if rec, found := s.recordByPath(id); found {
-			s.writeRecordResult(w, rec)
+			s.writeRecordResult(w, r, rec)
 			return
 		}
 		writeError(w, http.StatusNotFound,
@@ -317,13 +342,29 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	rFac := f.R()
+	writeResult(w, r, strconv.FormatUint(j.ID(), 10), f.R())
+}
+
+// writeResult answers a result request with R: as a binary frame streamed
+// straight from R's storage when the request's Accept header lists
+// application/x-qr-matrix (and R fits in one), as JSON otherwise.
+func writeResult(w http.ResponseWriter, r *http.Request, id string, rFac *matrix.Matrix) {
+	if mtxio.AcceptsFrame(r.Header.Get("Accept")) && rFac.Rows*rFac.Cols <= mtxio.MaxFrameElems {
+		meta, _ := json.Marshal(struct {
+			ID string `json:"id"`
+		}{id})
+		w.Header().Set("Content-Type", mtxio.FrameContentType)
+		w.Header().Set("Content-Length", strconv.FormatInt(mtxio.FrameLen(len(meta), rFac.Rows, rFac.Cols), 10))
+		w.WriteHeader(http.StatusOK)
+		_ = mtxio.WriteFrame(w, meta, rFac)
+		return
+	}
 	rows := make([][]float64, rFac.Rows)
 	for i := range rows {
 		rows[i] = rFac.Row(i)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"id":   strconv.FormatUint(j.ID(), 10),
+		"id":   id,
 		"rows": rFac.Rows,
 		"cols": rFac.Cols,
 		"r":    rows,
@@ -332,20 +373,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // writeRecordResult serves a result straight from the job store — the path
 // that makes completed work fetchable across a process restart.
-func (s *Server) writeRecordResult(w http.ResponseWriter, rec store.JobRecord) {
+func (s *Server) writeRecordResult(w http.ResponseWriter, r *http.Request, rec store.JobRecord) {
 	switch {
 	case rec.State == store.StateDone && rec.Result != nil:
 		res := rec.Result
-		rows := make([][]float64, res.Rows)
-		for i := range rows {
-			rows[i] = res.Data[i*res.Cols : (i+1)*res.Cols]
+		if res.Rows < 0 || res.Cols < 0 || len(res.Data) != res.Rows*res.Cols {
+			writeError(w, http.StatusInternalServerError,
+				fmt.Errorf("job %s: stored result is %d values for %dx%d", wireID(rec), len(res.Data), res.Rows, res.Cols))
+			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id":   wireID(rec),
-			"rows": res.Rows,
-			"cols": res.Cols,
-			"r":    rows,
-		})
+		writeResult(w, r, wireID(rec), &matrix.Matrix{Rows: res.Rows, Cols: res.Cols, Stride: res.Cols, Data: res.Data})
 	case rec.State == store.StateFailed:
 		writeError(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("job %s failed: %s", wireID(rec), rec.Error))

@@ -325,14 +325,17 @@ func (j *Job) Class() string { return j.cls.key }
 // Done is closed when the job has finished (either way).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the outcome; it must only be called after Done is closed
-// (Wait does this for you).
+// Result returns the outcome of a finished job, or an error while it is
+// still queued or running. It agrees with State: finish stores the outcome
+// before the terminal state, so a caller that has seen a terminal State
+// (a status poll reporting "done") always gets the outcome, even in the
+// instant before Done is closed.
 func (j *Job) Result() (*tiled.Factorization, error) {
-	select {
-	case <-j.done:
+	switch st := j.State(); st {
+	case StateDone, StateFailed:
 		return j.f, j.err
 	default:
-		return nil, fmt.Errorf("serve: job %d still %s", j.id, j.State())
+		return nil, fmt.Errorf("serve: job %d still %s", j.id, st)
 	}
 }
 
@@ -870,11 +873,8 @@ func (s *Server) runBatch(b *batch) {
 		if err := j.ctx.Err(); err != nil {
 			err = fmt.Errorf("serve: job %d expired in queue: %w", j.id, err)
 			j.trace.EndErr(j.queueSpan, err)
-			j.finish(nil, err)
-			s.persistOutcome(j)
 			s.mFailed.Inc()
-			cls.latency.Observe(float64(j.fin.Sub(j.enq)) / float64(time.Microsecond))
-			s.finishJobTrace(j, err)
+			s.complete(j, nil, err)
 			continue
 		}
 		j.trace.End(j.queueSpan)
@@ -939,15 +939,33 @@ func (s *Server) runBatch(b *batch) {
 			if fault.IsRetryable(err) {
 				err = &RetryableError{Err: err, After: time.Second}
 			}
-			j.finish(nil, err)
 			s.mFailed.Inc()
+			s.complete(j, nil, err)
 		} else {
-			j.finish(items[i].F, nil)
 			s.mDone.Inc()
+			s.complete(j, items[i].F, nil)
 		}
-		s.persistOutcome(j)
-		cls.latency.Observe(float64(j.fin.Sub(j.enq)) / float64(time.Microsecond))
-		s.finishJobTrace(j, j.err)
+	}
+}
+
+// complete publishes a job's outcome. The trace is finalized and stored
+// first, so whoever the completion wakes finds the finished trace in the
+// trace store; the outcome is then mirrored into the job store.
+func (s *Server) complete(j *Job, f *tiled.Factorization, err error) {
+	s.finishJobTrace(j, err)
+	j.finish(f, err)
+	s.persistOutcome(j)
+	j.cls.latency.Observe(float64(j.fin.Sub(j.enq)) / float64(time.Microsecond))
+	if s.cfg.Logger != nil {
+		if err != nil {
+			s.cfg.Logger.Warn("job failed",
+				"trace_id", j.TraceID(), "job", j.id, "class", j.cls.key,
+				"elapsed", j.fin.Sub(j.enq), "err", err)
+		} else {
+			s.cfg.Logger.Info("job done",
+				"trace_id", j.TraceID(), "job", j.id, "class", j.cls.key,
+				"elapsed", j.fin.Sub(j.enq))
+		}
 	}
 }
 
@@ -967,8 +985,9 @@ func (s *Server) persistOutcome(j *Job) {
 			msg = "failed"
 		}
 	} else if j.f != nil {
+		// R is freshly allocated and contiguous: the record can own it.
 		r := j.f.R()
-		res = &store.Result{Rows: r.Rows, Cols: r.Cols, Data: flattenMatrix(r)}
+		res = &store.Result{Rows: r.Rows, Cols: r.Cols, Data: r.Data}
 	}
 	err := s.cfg.Store.SetResult(j.sid, res, msg)
 	if err != nil && !errors.Is(err, store.ErrConflict) && !errors.Is(err, store.ErrHalted) && s.cfg.Logger != nil {
@@ -977,7 +996,7 @@ func (s *Server) persistOutcome(j *Job) {
 	}
 }
 
-// finishJobTrace finalizes a finished job's span tree — closing every span,
+// finishJobTrace finalizes a finishing job's span tree — closing every span,
 // extracting the realized critical path from the kernel spans and the
 // class's DAG — folds its measurements into the drift ledger (successful
 // jobs only), and offers the trace to the store.
@@ -1013,15 +1032,4 @@ func (s *Server) finishJobTrace(j *Job, err error) {
 		s.cfg.Trace.RecordDrift(cls.key, pred.TotalUS, tr.PhaseUS(obs.SpanExecute), critUS, devs)
 	}
 	s.cfg.Trace.Add(tr)
-	if s.cfg.Logger != nil {
-		if err != nil {
-			s.cfg.Logger.Warn("job failed",
-				"trace_id", j.TraceID(), "job", j.id, "class", cls.key,
-				"elapsed", j.fin.Sub(j.enq), "err", err)
-		} else {
-			s.cfg.Logger.Info("job done",
-				"trace_id", j.TraceID(), "job", j.id, "class", cls.key,
-				"elapsed", j.fin.Sub(j.enq))
-		}
-	}
 }

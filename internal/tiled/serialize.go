@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/matrix"
+	"repro/internal/mtxio"
 )
 
 // Factorization persistence: a completed tiled QR (reflector tiles, block
@@ -49,12 +49,11 @@ func (f *Factorization) Save(w io.Writer) error {
 	if _, err := bw.WriteString(f.Tree); err != nil {
 		return err
 	}
+	buf := make([]byte, 4096)
 	writeMat := func(m *matrix.Matrix) error {
 		for i := 0; i < m.Rows; i++ {
-			for _, v := range m.Row(i) {
-				if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-					return err
-				}
+			if err := mtxio.WriteFloat64s(bw, m.Row(i), buf); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -121,15 +120,11 @@ func Load(r io.Reader) (*Factorization, error) {
 
 	l := NewLayout(int(m), int(n), int(b))
 	f := NewFactorization(NewTiled(l), tree)
+	buf := make([]byte, 4096)
 	readMat := func(dst *matrix.Matrix) error {
 		for i := 0; i < dst.Rows; i++ {
-			row := dst.Row(i)
-			for j := range row {
-				var bits uint64
-				if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-					return fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-				row[j] = math.Float64frombits(bits)
+			if err := mtxio.ReadFloat64s(br, dst.Row(i), buf); err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 		}
 		return nil
