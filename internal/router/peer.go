@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/mtxio"
 	"repro/internal/store"
 )
 
@@ -209,7 +210,7 @@ func (r *Router) peerGet(path string, v any) error {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, probeBodyCap))
 		return fmt.Errorf("peer %s: status %d", path, resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, mtxio.MaxBodyBytes))
 	if err != nil {
 		return err
 	}

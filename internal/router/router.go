@@ -452,7 +452,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if r.refuseStandby(w) {
 		return
 	}
-	raw, err := readBody(req.Body, req.ContentLength, 256<<20)
+	raw, err := readBody(req.Body, req.ContentLength, mtxio.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
@@ -697,7 +697,7 @@ func (r *Router) proxyRead(w http.ResponseWriter, req *http.Request, suffix stri
 		return
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp.Body, resp.ContentLength, 256<<20)
+	body, err := readBody(resp.Body, resp.ContentLength, mtxio.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("router: worker read: %v", err))
 		return
@@ -728,7 +728,7 @@ func (r *Router) fanoutRead(w http.ResponseWriter, req *http.Request, id, suffix
 				resp.Body.Close()
 				continue
 			}
-			body, rerr := readBody(resp.Body, resp.ContentLength, 256<<20)
+			body, rerr := readBody(resp.Body, resp.ContentLength, mtxio.MaxBodyBytes)
 			resp.Body.Close()
 			if rerr != nil {
 				continue
